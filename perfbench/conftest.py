@@ -1,0 +1,8 @@
+"""Puts the checkout's ``src/`` on the import path for the benchmark's own tests."""
+
+import os
+import sys
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+if _SRC not in sys.path:
+    sys.path.insert(0, _SRC)
