@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
 Each ``test_bench_*`` module regenerates one of the paper's tables or
-figures (see DESIGN.md's per-experiment index); pytest-benchmark provides the
+figures (see docs/experiments.md's per-experiment index); pytest-benchmark provides the
 timing statistics, and ``extra_info`` carries the non-timing columns
 (AC nodes, CNF clauses, ...).
 

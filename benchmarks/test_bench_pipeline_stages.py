@@ -1,6 +1,6 @@
 """Ablation benchmarks for the individual toolchain stages.
 
-Not a paper table per se, but the per-stage costs DESIGN.md calls out:
+Not a paper table per se, but the per-stage costs perfbench/README.md traces:
 circuit -> Bayesian network, network -> CNF, CNF -> d-DNNF, elision/smoothing,
 weight re-binding and single amplitude queries.  These quantify where time
 goes and how cheap the "repeat with new parameters" path is compared with a

@@ -1,6 +1,6 @@
 """Experiment harness reproducing every table and figure of the paper's evaluation.
 
-Module map (see DESIGN.md for the full per-experiment index):
+Module map (see docs/experiments.md for the full per-experiment index):
 
 ================================  =============================================
 Module                            Paper artefact

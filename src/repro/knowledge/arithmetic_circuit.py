@@ -23,14 +23,20 @@ Both passes additionally accept a *batch* of literal bindings:
 :meth:`ArithmeticCircuit.evaluate_batch` and
 :meth:`ArithmeticCircuit.evaluate_with_derivatives_batch` take literal values
 of shape ``(B, num_vars + 1, 2)`` and run the same level-grouped passes over
-``(num_nodes, B)`` value/gradient arrays — one set of NumPy calls per level
-*regardless of B*.  Amortising the per-level dispatch overhead across many
-simultaneous queries is what makes many-chain Gibbs sampling and full
-state-vector reconstruction cheap (one batched sweep instead of ``B`` scalar
-sweeps).  The scalar :meth:`evaluate` / :meth:`evaluate_with_derivatives`
-API is kept as a ``B = 1`` wrapper.  Node-sized scratch arrays are cached in
-a per-batch-size workspace so repeated calls (the variational loop, Gibbs
-sweeps) do not churn allocations.
+``(num_nodes, rows)`` value/gradient arrays.  Amortising the per-level
+dispatch overhead across many simultaneous queries is what makes many-chain
+Gibbs sampling and full state-vector reconstruction cheap (one batched sweep
+instead of ``B`` scalar sweeps).  The scalar :meth:`evaluate` /
+:meth:`evaluate_with_derivatives` API is kept as a ``B = 1`` wrapper.
+
+The upward-only pass (:meth:`evaluate_batch`) has its own kernel: AND nodes
+are a plain ``multiply.reduceat`` (no zero bookkeeping, which only the
+downward pass reads), and rows are taken in blocks of :attr:`block_rows`, so
+that the widest level's gathered child array stays within
+:data:`UPWARD_BLOCK_BYTES` and in cache.  The derivative pass keeps the
+whole batch and the bookkeeping.  Node-sized scratch arrays are cached in a
+per-width workspace so repeated calls (the variational loop, Gibbs sweeps)
+do not churn allocations.
 """
 
 from __future__ import annotations
@@ -55,6 +61,10 @@ NODE_TRUE = 1
 NODE_LITERAL = 2
 NODE_AND = 3
 NODE_OR = 4
+
+#: Byte budget of the widest level group's gathered child array
+#: (edges x rows x 16 B) in the upward-only kernel; it fixes the row block.
+UPWARD_BLOCK_BYTES = 1 << 20
 
 
 class _ScatterPlan:
@@ -127,7 +137,7 @@ class _LevelGroup:
 class ArithmeticCircuit:
     """A flattened, topologically ordered, vectorised arithmetic circuit.
 
-    Evaluation reuses per-batch-size scratch buffers held on the instance,
+    Evaluation reuses per-width scratch buffers held on the instance,
     so a circuit object is stateful and not safe for concurrent evaluation
     from multiple threads.
     """
@@ -202,7 +212,17 @@ class ArithmeticCircuit:
             for (level, node_type), (positions, children) in sorted(grouped.items())
         ]
 
-        # Per-batch-size scratch arrays (small LRU), managed by _workspace_for.
+        # Row block of the upward-only kernel: as many rows as keep the widest
+        # level group's gathered child array within UPWARD_BLOCK_BYTES.
+        self.num_levels = int(levels.max()) if self.num_nodes else 0
+        self.widest_level_edges = max(
+            (len(group.child_indices) for group in self._groups), default=0
+        )
+        self.block_rows = max(
+            1, UPWARD_BLOCK_BYTES // (16 * max(1, self.widest_level_edges))
+        )
+
+        # Per-width scratch arrays (small LRU), managed by _workspace_for.
         self._workspaces: "OrderedDict[int, Dict[str, np.ndarray]]" = OrderedDict()
 
     # ------------------------------------------------------------------
@@ -226,6 +246,9 @@ class ArithmeticCircuit:
             "edges": self.num_edges,
             "literal_leaves": self.num_literal_leaves,
             "size_bytes": self.size_bytes(),
+            "levels": self.num_levels,
+            "widest_level_edges": self.widest_level_edges,
+            "block_rows": self.block_rows,
         }
 
     # ------------------------------------------------------------------
@@ -240,16 +263,16 @@ class ArithmeticCircuit:
         return np.ones((self.num_vars + 1, 2), dtype=complex)
 
     def _workspace_for(self, batch: int) -> Dict[str, np.ndarray]:
-        """Node-sized scratch arrays for a batch of ``batch`` queries.
+        """Node-sized scratch arrays for ``batch`` rows at a time.
 
-        The ``(num_nodes, B)`` value/gradient arrays dominate the allocation
-        cost of a pass; they are cached per batch size (a small LRU, so a
-        chunked query's trailing partial chunk or an interleaved Gibbs batch
-        does not evict the hot buffer) and the hot loops (variational
-        re-binding, Gibbs sweeps, chunked state-vector reconstruction) reuse
-        the same buffers call after call.  The gradients buffer is allocated
-        lazily so upward-only callers (amplitude queries, state-vector
-        chunks) pay for one buffer, not two.
+        The ``(num_nodes, rows)`` value/gradient arrays dominate the
+        allocation cost of a pass; they are cached per width (a small LRU, so
+        an interleaved Gibbs batch does not evict the hot buffer) and the hot
+        loops (variational re-binding, Gibbs sweeps, chunked state-vector
+        reconstruction) reuse the same buffers call after call.  The
+        derivative pass asks for the whole batch, the upward-only kernel for
+        at most one row block.  The gradients buffer is allocated lazily so
+        upward-only callers pay for one buffer, not two.
         """
         workspace = self._workspaces.get(batch)
         if workspace is None:
@@ -290,14 +313,7 @@ class ArithmeticCircuit:
         mask and the gathered child values with zeros replaced by one (reused
         by the downward pass as a division-safe denominator).
         """
-        values.fill(0.0)
-        if len(self._true_positions):
-            values[self._true_positions] = 1.0
-        if len(self._literal_positions):
-            values[self._literal_positions] = literal_values[
-                :, self._literal_vars, self._literal_signs
-            ].T
-
+        self._fill_leaves(literal_values, values)
         and_bookkeeping: List[
             Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
         ] = []
@@ -317,20 +333,60 @@ class ArithmeticCircuit:
                 and_bookkeeping.append(None)
         return and_bookkeeping
 
+    def _fill_leaves(self, literal_values: np.ndarray, values: np.ndarray) -> None:
+        """Write the constant and literal leaves of ``values`` (num_nodes, rows).
+
+        Only leaves are written: both sweeps overwrite every internal node, so
+        a reused workspace needs no clearing.
+        """
+        if len(self._false_positions):
+            values[self._false_positions] = 0.0
+        if len(self._true_positions):
+            values[self._true_positions] = 1.0
+        if len(self._literal_positions):
+            values[self._literal_positions] = literal_values[
+                :, self._literal_vars, self._literal_signs
+            ].T
+
+    def _upward_block(self, literal_values: np.ndarray, values: np.ndarray) -> None:
+        """Upward-only pass of one row block into ``values`` (num_nodes, rows).
+
+        An AND node is one ``multiply.reduceat`` over its children: a zero
+        child already makes the product zero, so unlike :meth:`_upward_batch`
+        no zero bookkeeping is built.
+        """
+        self._fill_leaves(literal_values, values)
+        for group in self._groups:
+            reduce = np.multiply.reduceat if group.is_and else np.add.reduceat
+            values[group.node_positions] = reduce(
+                values[group.child_indices], group.offsets, axis=0
+            )
+
     def evaluate_batch(self, literal_values: np.ndarray) -> np.ndarray:
         """Batched upward pass.
 
         ``literal_values`` has shape ``(B, num_vars + 1, 2)``; returns the
-        ``(B,)`` array of weighted model counts.  Cost is one set of NumPy
-        calls per level regardless of ``B``.
+        ``(B,)`` array of weighted model counts.  One call is one upward pass
+        of ``B`` rows, run in row blocks of :attr:`block_rows` so that each
+        level's gathered child array stays within ``UPWARD_BLOCK_BYTES``
+        (cache-resident); the workspace is sized by the block, not by ``B``.
+        Roots compare equal (``==``) to those of
+        :meth:`evaluate_with_derivatives_batch`: the same products in the same
+        order, where only the sign of an exact zero may differ.
         """
         literal_values = self._as_batch(literal_values)
         batch = literal_values.shape[0]
+        roots = np.empty(batch, dtype=complex)
         if batch == 0:
-            return np.zeros(0, dtype=complex)
-        values = self._workspace_for(batch)["values"]
-        self._upward_batch(literal_values, values)
-        return values[self.root_index].copy()
+            return roots
+        block = self.block_rows
+        buffer = self._workspace_for(min(batch, block))["values"]
+        for start in range(0, batch, block):
+            stop = min(batch, start + block)
+            values = buffer[:, : stop - start]
+            self._upward_block(literal_values[start:stop], values)
+            roots[start:stop] = values[self.root_index]
+        return roots
 
     def evaluate_with_derivatives_batch(
         self, literal_values: np.ndarray
@@ -419,7 +475,7 @@ class ArithmeticCircuit:
     # Pickling (persistent compiled-circuit cache)
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict:
-        """Pickle everything but the per-batch-size scratch buffers.
+        """Pickle everything but the per-width scratch buffers.
 
         Workspaces are pure caches (and can be hundreds of megabytes for
         large batch sizes); a restored circuit re-grows them lazily on first

@@ -37,7 +37,7 @@ from typing import Any, Dict, Optional
 CACHE_DIR_ENV = "REPRO_COMPILE_CACHE_DIR"
 
 #: On-disk payload format; bump on incompatible changes.
-PAYLOAD_FORMAT = 1
+PAYLOAD_FORMAT = 2
 
 
 class CacheStats:

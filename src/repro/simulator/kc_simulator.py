@@ -428,7 +428,10 @@ class CompiledCircuit:
         circuits ``noise_branches`` is the matching ``(B, num_noise)`` branch
         matrix.  Each chunk of rows costs one batched upward pass over the
         arithmetic circuit, so all ``B`` amplitudes are computed in
-        ``ceil(B / chunk_size)`` passes instead of ``B`` scalar ones.
+        ``ceil(B / chunk_size)`` passes instead of ``B`` scalar ones.  The
+        pass itself walks the chunk in cache-sized row blocks (see
+        :meth:`ArithmeticCircuit.evaluate_batch`), so ``chunk_size`` bounds
+        the literal batch, not the pass's working set.
         """
         assignments = np.atleast_2d(np.asarray(assignments, dtype=np.int64))
         total = assignments.shape[0]

@@ -12,8 +12,12 @@ import numpy as np
 import pytest
 
 from repro.circuits import CNOT, Circuit, H, LineQubit, Ry, Rz, depolarize
+from repro.knowledge import NNFManager
+from repro.knowledge import arithmetic_circuit as ac_module
+from repro.knowledge.arithmetic_circuit import ArithmeticCircuit
 from repro.sampling import GibbsSampler, total_variation_distance
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
+from repro.variational import QAOACircuit, random_regular_maxcut
 
 
 def _random_literal_batch(circuit_ac, batch, rng):
@@ -219,3 +223,146 @@ class TestMultiChainSampling:
             [int("".join(map(str, s)), 2) for s in combined], minlength=len(exact)
         ) / len(combined)
         assert total_variation_distance(exact, empirical) < 0.12
+
+
+#: The knowledge-compilation entries of the differential-fuzz corpus
+#: (tests/test_differential_fuzz.py): (alphabet, seed, qubits, depth).
+FUZZ_CORPUS = (
+    [("universal", seed, 3, 4) for seed in (0, 1, 2)]
+    + [("universal", 3, 4, 3)]
+    + [("clifford+t", seed, 3, 5) for seed in (0, 1)]
+    + [("pauli-noise", seed, 3, 3) for seed in (0, 1, 2)]
+)
+
+#: Row-block budget for the fuzz corpus: its circuits are so small that the
+#: default budget gives blocks of thousands of rows, which would make the
+#: row-by-row reference slow.  The kernel is the same at any budget.
+FUZZ_BLOCK_BYTES = 1 << 13
+
+
+def _qaoa(num_qubits, graph_seed, noisy=False):
+    ansatz = QAOACircuit(random_regular_maxcut(num_qubits, seed=graph_seed), 1)
+    circuit = ansatz.circuit.resolve_parameters(ansatz.resolver([0.4, 0.7]))
+    if noisy:
+        circuit = circuit.with_noise(lambda: depolarize(0.005))
+    return KnowledgeCompilationSimulator(seed=1).compile_circuit(circuit)
+
+
+@pytest.fixture(scope="module")
+def compiled_qaoa():
+    """Figure 8's ideal QAOA n=10 p=1 (graph seed 9) and Figure 9's QAOA n=4
+    p=1 with 0.5% depolarizing after every gate."""
+    return {"qaoa10": _qaoa(10, 9), "noisy-qaoa4": _qaoa(4, 9, noisy=True)}
+
+
+@pytest.fixture(
+    params=["qaoa10", "noisy-qaoa4"] + FUZZ_CORPUS,
+    ids=lambda case: case if isinstance(case, str) else "-".join(map(str, case)),
+)
+def compiled_case(request, compiled_qaoa, circuit_fuzzer, monkeypatch):
+    if isinstance(request.param, str):
+        return compiled_qaoa[request.param]
+    alphabet, seed, num_qubits, depth = request.param
+    monkeypatch.setattr(ac_module, "UPWARD_BLOCK_BYTES", FUZZ_BLOCK_BYTES)
+    circuit = circuit_fuzzer(seed, num_qubits, depth, alphabet=alphabet)
+    compiled = KnowledgeCompilationSimulator(seed=0, cache=None).compile_circuit(circuit)
+    assert compiled.arithmetic_circuit.block_rows < 64
+    return compiled
+
+
+def _evidence_batch(compiled, batch, rng):
+    """Bound literal rows with random bitstring (and noise-branch) evidence.
+
+    Evidence zeroes the indicator literal of every unobserved value, so AND
+    nodes with zero children occur on every row; on odd rows a few further
+    literals are zeroed at random on top.
+    """
+    literal_values, _ = compiled.base_literal_values_batch(batch)
+    retained = compiled.retained_variables
+    assignments = np.column_stack(
+        [rng.integers(0, variable.cardinality, size=batch) for variable in retained]
+    )
+    compiled.apply_evidence_batch(literal_values, assignments)
+    odd_rows = literal_values[1::2]
+    odd_rows[rng.random(odd_rows.shape) < 0.02] = 0.0
+    return literal_values
+
+
+def _block_sizes(block):
+    return [1, block - 1, block, block + 1, 3 * block + 2]
+
+
+def _poison_workspaces(ac):
+    """Fill every cached scratch buffer with NaN: a pass must not read stale values."""
+    for workspace in ac._workspaces.values():
+        for buffer in workspace.values():
+            buffer.fill(np.nan)
+
+
+class TestRowBlockedUpwardKernel:
+    def test_matches_derivative_roots_and_row_by_row(self, compiled_case):
+        compiled = compiled_case
+        ac = compiled.arithmetic_circuit
+        rng = np.random.default_rng(5)
+        all_roots = []
+        for batch in _block_sizes(ac.block_rows):
+            literal_values = _evidence_batch(compiled, batch, rng)
+            _poison_workspaces(ac)
+            roots = ac.evaluate_batch(literal_values)
+            _poison_workspaces(ac)
+            derivative_roots, _ = ac.evaluate_with_derivatives_batch(literal_values)
+            assert np.all(roots == derivative_roots), f"B={batch}"
+            row_by_row = [ac.evaluate(row) for row in literal_values]
+            assert np.all(roots == np.asarray(row_by_row)), f"B={batch}"
+            all_roots.append(roots)
+        all_roots = np.concatenate(all_roots)
+        assert np.any(all_roots != 0) and np.any(all_roots == 0)
+
+    def test_workspace_never_wider_than_block(self, compiled_case):
+        compiled = compiled_case
+        ac = compiled.arithmetic_circuit
+        rng = np.random.default_rng(6)
+        ac._workspaces.clear()
+        for batch in _block_sizes(ac.block_rows):
+            ac.evaluate_batch(_evidence_batch(compiled, batch, rng))
+            widths = [space["values"].shape[1] for space in ac._workspaces.values()]
+            assert max(widths) <= ac.block_rows, f"B={batch}"
+
+    def test_exact_queries_bit_equal_to_derivative_pass(self, compiled_case, monkeypatch):
+        """Same probabilities, bit for bit, so seeded exact-sampling counts cannot change.
+
+        Noisy QAOA has 4^20 noise branches, too many for ``probabilities()``;
+        there the amplitudes of the no-jump branch stand in.
+        """
+        compiled = compiled_case
+        branches = np.prod([v.cardinality for v in compiled.noise_variables], dtype=float)
+        if branches > 1024:
+            bits = (np.arange(2**compiled.num_qubits)[:, None] >> np.arange(compiled.num_qubits)) & 1
+            no_jump = np.zeros((1, len(compiled.noise_variables)), dtype=np.int64)
+            query = lambda: compiled.amplitudes(bits, noise_branches=no_jump)  # noqa: E731
+        else:
+            query = compiled.probabilities
+        blocked = query()
+        monkeypatch.setattr(
+            ArithmeticCircuit,
+            "evaluate_batch",
+            lambda self, literal_values: self.evaluate_with_derivatives_batch(literal_values)[0],
+        )
+        assert np.array_equal(blocked, query())
+
+    def test_constant_roots_ignore_stale_workspace(self):
+        """Leaves are rewritten on every pass, including a lone TRUE/FALSE root."""
+        manager = NNFManager()
+        literal_values = np.ones((3, 3, 2), dtype=complex)
+        for root, expected in ((manager.false(), 0.0), (manager.true(), 1.0)):
+            ac = ArithmeticCircuit(root, 2)
+            ac._workspace_for(3)["values"].fill(np.nan)
+            assert np.all(ac.evaluate_batch(literal_values) == expected)
+            ac._workspace_for(3)["values"].fill(np.nan)
+            assert np.all(ac.evaluate_with_derivatives_batch(literal_values)[0] == expected)
+
+    def test_stats_report_block_rule(self, compiled_qaoa):
+        ac = compiled_qaoa["qaoa10"].arithmetic_circuit
+        stats = ac.stats()
+        assert (stats["levels"], stats["widest_level_edges"], stats["block_rows"]) == (18, 896, 73)
+        assert stats["block_rows"] == ac_module.UPWARD_BLOCK_BYTES // (16 * 896)
