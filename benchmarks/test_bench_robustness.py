@@ -3,12 +3,12 @@
 The acceptance criterion of the robustness PR: on the 100-point BENCH_api
 workload (shared-topology QAOA sweep, exact sampling on one compile), a
 submission that carries retries *and* durable checkpointing — but suffers no
-faults — must cost at most 10% more wall clock than the plain fast path.
+faults — must cost at most 10% more wall clock than a plain run.
 The engine earns this by
 
-* keeping the inline fast-lane for ``jobs=1`` fault-tolerant submissions
-  (the device's live simulator instances and memoized group master are
-  reused; payloads never pickle), and
+* running ``jobs=1`` submissions, plain and fault-tolerant alike, on the
+  one in-process loop (the device's live simulator instances and memoized
+  group master are reused; payloads never pickle), and
 * checkpointing rows as single appends to one write-ahead log (no per-item
   file create/rename, no per-row fsync — the per-record content
   fingerprint catches torn writes on load instead).

@@ -58,7 +58,7 @@ from .journal import JobJournal
 from .registry import REGISTRY, backend_capabilities, create_backend
 from .results import BatchResult
 from .routing import BackendDecision, select_backend
-from .scheduler import Job, completed, submit
+from .scheduler import Job, check_item_timeout, fault_tolerant, runs_inline, submit
 
 
 def _assemble_batch(sorted_rows: List[Tuple[int, Dict]]) -> BatchResult:
@@ -283,9 +283,9 @@ def _evaluate_items(
     for the group's shared topology (the Device's per-topology memo);
     circuits then rebind against it instead of recompiling.  ``memo`` is an
     optional mutable dict shared across calls of the *same group in the same
-    process* (the inline fault-tolerant engine submits one call per item):
-    it carries the per-position rebind / shared-tableau memos that a single
-    batched call keeps in locals, so per-item dispatch stays compile-once.
+    process* (inline runs submit one call per item): it carries the
+    per-position rebind / shared-tableau memos that a single batched call
+    keeps in locals, so per-item dispatch stays compile-once.
     """
     rows: List[Tuple[int, Dict]] = []
     if backend == KC_BACKEND:
@@ -393,7 +393,7 @@ def _run_chunk(payload: Dict) -> List[Tuple[int, Dict]]:
 
 
 def _run_chunk_local(payload: Dict) -> List[Tuple[int, Dict]]:
-    """Inline fault-tolerant task: evaluate items on this process's backend.
+    """Inline task: evaluate items on this process's backend.
 
     The payload carries live (unpicklable is fine — never crosses a process
     boundary) simulator instances and the device's memoized group master.
@@ -883,8 +883,8 @@ class Device:
             ``retry.max_attempts`` times when the failure is retryable
             (transient errors, crashed workers, item timeouts by default).
         item_timeout:
-            Per-item wall-clock budget in seconds; a stuck worker is killed
-            and the item fails with
+            Per-item wall-clock budget in seconds (positive and finite); a
+            stuck worker is killed and the item fails with
             :class:`~repro.errors.JobTimeoutError` (retryable).  ``"auto"``
             uses the largest ``default_item_timeout`` declared by the routed
             backends.  Forces pooled execution so the item can be reaped.
@@ -896,8 +896,10 @@ class Device:
             Identifier within ``checkpoint`` (generated when omitted; read
             it back from ``Job.job_id``).  Requires ``checkpoint``.
         on_error:
-            ``"raise"`` (default) raises an aggregated
-            :class:`~repro.errors.JobError` when items fail terminally;
+            ``"raise"`` (default) makes ``Job.result()`` raise when items
+            fail terminally: the first failure's original exception on a
+            plain run, an aggregated :class:`~repro.errors.JobError` when
+            ``retry`` / ``item_timeout`` / ``checkpoint`` is given;
             ``"partial"`` returns the successful rows and records the
             failures on ``Job.failures()``.
         memory_budget:
@@ -930,6 +932,8 @@ class Device:
             (raised before any work runs).
         ValueError
             For unknown observables or inconsistent arguments.
+
+        Errors raised while items evaluate surface from ``Job.result()``.
         """
         items = self._normalize_items(circuits, params)
         try:
@@ -972,10 +976,8 @@ class Device:
             raise InvalidRequestError(f"sampling must be 'auto', 'exact' or 'gibbs', got {sampling!r}")
         if on_error not in ("raise", "partial"):
             raise InvalidRequestError(f"on_error must be 'raise' or 'partial', got {on_error!r}")
-        if isinstance(item_timeout, str) and item_timeout != "auto":
-            raise InvalidRequestError(
-                f"item_timeout must be a number, None or 'auto', got {item_timeout!r}"
-            )
+        if item_timeout != "auto":
+            check_item_timeout(item_timeout)
         if job_id is not None and checkpoint is None:
             raise InvalidRequestError("job_id requires a checkpoint directory")
 
@@ -1086,88 +1088,77 @@ class Device:
             declared = [value for value in declared if value is not None]
             item_timeout = max(declared) if declared else None
 
-        fault_tolerant = (
-            retry is not None
-            or item_timeout is not None
-            or journal is not None
-            or fault_injector is not None
-            or on_error == "partial"
+        if runs_inline(jobs, block, item_timeout):
+            tasks, cleanup = self._local_tasks(groups, ctx), None
+        else:
+            per_item = fault_tolerant(retry, item_timeout, journal, on_error)
+            tasks, cleanup = self._pool_tasks(groups, ctx, jobs, per_item)
+        job = submit(
+            tasks,
+            jobs=jobs,
+            block=block,
+            assemble=_assemble_batch,
+            retry=retry,
+            item_timeout=item_timeout,
+            on_error=on_error,
+            journal=journal,
+            preloaded_rows=list(preloaded.items()),
+            prefailures=prefailures,
         )
-        if not fault_tolerant:
-            if jobs <= 1 and block:
-                rows: List[Tuple[int, Dict]] = []
-                for (backend, topology), group in groups.items():
-                    sim = self.backend_instance(backend)
-                    master = (
-                        self._kc_group_master(sim, group["circuits"][0], topology, ctx)
-                        if backend == KC_BACKEND
-                        else None
-                    )
-                    rows.extend(
-                        _evaluate_items(
-                            sim, backend, group["circuits"], group["items"], ctx,
-                            group_master=master,
-                        )
-                    )
-                return completed(rows, assemble=_assemble_batch)
-            return self._run_pooled(groups, ctx, jobs=jobs, block=block)
-
-        fault = {
-            "retry": retry,
-            "item_timeout": item_timeout,
-            "on_error": on_error,
-            "journal": journal,
-            "preloaded_rows": list(preloaded.items()),
-            "prefailures": prefailures,
-        }
-        # Item timeouts need a killable worker per item, so they force the
-        # pooled engine even for jobs=1.
-        if jobs <= 1 and block and item_timeout is None:
-            tasks = []
-            for (backend, topology), group in groups.items():
-                sim = self.backend_instance(backend)
-                master = (
-                    self._kc_group_master(sim, group["circuits"][0], topology, ctx)
-                    if backend == KC_BACKEND
-                    else None
-                )
-                # One shared memo per group keeps per-item dispatch
-                # compile-once: rebinds / shared tableaux computed by one
-                # item task are reused by the rest (tasks run serially in
-                # this process).
-                group_memo: Dict = {}
-                for item in group["items"]:
-                    tasks.append(
-                        (
-                            _run_chunk_local,
-                            {
-                                "sim": sim,
-                                "backend": backend,
-                                "circuits": group["circuits"],
-                                "items": [item],
-                                "ctx": ctx,
-                                "master": master,
-                                "memo": group_memo,
-                            },
-                            (item[0],),
-                            f"item-{item[0]}",
-                        )
-                    )
-            return submit(
-                tasks,
-                jobs=1,
-                block=True,
-                assemble=_assemble_batch,
-                retry=retry,
-                on_error=on_error,
-                journal=journal,
-                preloaded_rows=fault["preloaded_rows"],
-                prefailures=prefailures,
-            )
-        return self._run_pooled(groups, ctx, jobs=jobs, block=block, fault=fault)
+        if cleanup is not None:
+            if job.done():
+                cleanup.cleanup()
+            else:
+                # Keep the temporary cache alive as long as the job handle;
+                # TemporaryDirectory's finalizer removes it afterwards.
+                job._owned_tmpdir = cleanup
+        return job
 
     # ------------------------------------------------------------------
-    def _run_pooled(self, groups, ctx, jobs: int, block: bool, fault=None) -> Job:
+    def _local_tasks(self, groups, ctx) -> List[Tuple]:
+        """One in-process task per item, over this device's live simulators.
+
+        One shared memo per group keeps per-item dispatch compile-once:
+        rebinds / shared tableaux computed by one item task are reused by the
+        rest (tasks run serially in this process).
+        """
+        tasks = []
+        for (backend, topology), group in groups.items():
+            sim = self.backend_instance(backend)
+            master = (
+                self._kc_group_master(sim, group["circuits"][0], topology, ctx)
+                if backend == KC_BACKEND
+                else None
+            )
+            group_memo: Dict = {}
+            for item in group["items"]:
+                tasks.append(
+                    (
+                        _run_chunk_local,
+                        {
+                            "sim": sim,
+                            "backend": backend,
+                            "circuits": group["circuits"],
+                            "items": [item],
+                            "ctx": ctx,
+                            "master": master,
+                            "memo": group_memo,
+                        },
+                        (item[0],),
+                        f"item-{item[0]}",
+                    )
+                )
+        return tasks
+
+    def _pool_tasks(
+        self, groups, ctx, jobs: int, per_item: bool
+    ) -> Tuple[List[Tuple], Optional[tempfile.TemporaryDirectory]]:
+        """Worker-process tasks, plus the temporary compile cache they share.
+
+        ``per_item`` runs retry, time out and checkpoint item by item, so each
+        task carries exactly one item; otherwise items are packed into
+        cost-balanced chunks.
+        """
         cleanup: Optional[tempfile.TemporaryDirectory] = None
         cache_dir: Optional[str] = None
         kc_groups = [
@@ -1201,20 +1192,16 @@ class Device:
                     initial_bits=ctx["initial_bits"],
                 )
 
-        total_items = sum(len(group["items"]) for group in groups.values())
-        chunk_size = max(1, math.ceil(total_items / max(1, jobs * 2)))
+        chunk_size, cost_target = 1, 0.0
         predicted = ctx.get("predicted") or {}
-        # Cost-aware packing target: split the batch's *predicted* runtime
-        # (not its item count) evenly over ~2 chunks per worker, so one
-        # expensive item no longer drags a whole uniform chunk behind it.
-        cost_target = (
-            sum(predicted.values()) / max(1, jobs * 2) if predicted else 0.0
-        )
-        if fault is not None:
-            # Fault-tolerant pools retry, time out and checkpoint *per item*,
-            # so every task carries exactly one item.
-            chunk_size = 1
-            cost_target = 0.0
+        if not per_item:
+            total_items = sum(len(group["items"]) for group in groups.values())
+            chunk_size = max(1, math.ceil(total_items / max(1, jobs * 2)))
+            # Cost-aware packing target: split the batch's *predicted*
+            # runtime (not its item count) evenly over ~2 chunks per worker,
+            # so one expensive item no longer drags a whole uniform chunk
+            # behind it.
+            cost_target = sum(predicted.values()) / max(1, jobs * 2) if predicted else 0.0
         tasks = []
         for (backend, _topology), group in groups.items():
             options = kc_options if backend == KC_BACKEND else self._backend_options.get(backend, {})
@@ -1227,34 +1214,9 @@ class Device:
                     "items": chunk,
                     "ctx": ctx,
                 }
-                if fault is not None:
-                    indices = tuple(item[0] for item in chunk)
-                    tasks.append((_run_chunk, payload, indices, f"item-{indices[0]}"))
-                else:
-                    tasks.append((_run_chunk, payload))
-        if fault is not None:
-            job = submit(
-                tasks,
-                jobs=jobs,
-                block=block,
-                assemble=_assemble_batch,
-                retry=fault["retry"],
-                item_timeout=fault["item_timeout"],
-                on_error=fault["on_error"],
-                journal=fault["journal"],
-                preloaded_rows=fault["preloaded_rows"],
-                prefailures=fault["prefailures"],
-            )
-        else:
-            job = submit(tasks, jobs=jobs, block=block, assemble=_assemble_batch)
-        if cleanup is not None:
-            if block and job.done():
-                cleanup.cleanup()
-            else:
-                # Keep the temporary cache alive as long as the job handle;
-                # TemporaryDirectory's finalizer removes it afterwards.
-                job._owned_tmpdir = cleanup
-        return job
+                indices = tuple(item[0] for item in chunk)
+                tasks.append((_run_chunk, payload, indices, f"item-{indices[0]}"))
+        return tasks, cleanup
 
     def __repr__(self) -> str:
         if self.backend == "auto":

@@ -1,10 +1,23 @@
-"""Async job scheduling over a process pool, with optional fault tolerance.
+"""Job scheduling: one in-process loop and one crash-contained process pool.
 
 The execution layer behind :meth:`repro.api.device.Device.run` and the
 experiment harness.  A :class:`Job` owns a set of *tasks* — picklable
 ``(function, payload)`` pairs where ``function`` is module-level and returns
-``[(item_index, row), ...]`` — and runs them either inline (serial,
-blocking) or on a process pool:
+``[(item_index, row), ...]`` — and runs them through one of two runners:
+
+* **inline** (``jobs <= 1``, ``block=True``, no ``item_timeout``): tasks run
+  one after another in this process, with no pickling.  Only ``Exception``
+  becomes a failure record, so an interrupt (Ctrl-C) or ``SystemExit``
+  propagates out of :func:`submit` and no later task starts;
+* **pooled** (everything else): every task runs in a **dedicated worker
+  process**, at most ``jobs`` at a time.  Killed workers take down only their
+  own task: a worker that dies without reporting — SIGKILL, OOM — fails its
+  task with a :class:`~repro.errors.WorkerCrashedError`, and a worker that
+  exceeds ``item_timeout`` seconds of wall clock is killed and fails its task
+  with a :class:`~repro.errors.JobTimeoutError`.  The other tasks' rows still
+  land.
+
+The handle:
 
 * ``Job.status()`` reports ``pending`` / ``running`` / ``done`` /
   ``failed`` / ``cancelled``;
@@ -12,54 +25,49 @@ blocking) or on a process pool:
   item order;
 * ``Job.partial_results()`` and ``Job.stream()`` expose per-item rows as
   tasks complete (streaming partial results);
-* ``Job.cancel()`` cancels every not-yet-started task; tasks already
-  running finish (fault-tolerant pools kill them), and their completed rows
-  stay available through ``partial_results()``.
+* ``Job.cancel()`` stops every not-yet-started task and kills running pooled
+  workers; completed rows stay available through ``partial_results()``.
 
-Worker failures propagate with their **original exception type**: the
-worker catches the error, returns it as data, and the parent re-raises it
-with the worker traceback attached as the ``__cause__`` (a
-:class:`~repro.errors.JobError` carrying the formatted remote traceback).
-Unpicklable exceptions degrade to a :class:`~repro.errors.JobError`
-describing the original.
+Every terminal task failure becomes an :class:`~repro.api.faults.ItemFailure`
+that keeps the **original exception type** (a pooled worker returns its
+error as data; unpicklable exceptions degrade to a
+:class:`~repro.errors.JobError` describing the original).
 
-Fault tolerance
----------------
-Passing any of ``retry`` / ``item_timeout`` / ``journal`` /
-``on_error="partial"`` to :func:`submit` switches the job onto the
-fault-tolerant engine:
+Plain and fault-tolerant runs
+-----------------------------
+Both runners serve both kinds of submission; they differ only in how a
+failure is reported.  :func:`submit` decides which applies
+(:func:`fault_tolerant`): passing any of ``retry`` / ``item_timeout`` /
+``journal`` / ``on_error="partial"`` makes the run fault-tolerant.
 
-* each task re-runs under its :class:`~repro.api.faults.RetryPolicy`
-  (exponential backoff, deterministic jitter, retryable-error
-  classification); the task's payload is re-dispatched verbatim, so retried
-  items keep their original ``seed + index`` and a faulted run converges to
-  the bit-identical fault-free result;
-* pooled tasks each run in a **dedicated worker process** (killed workers
-  take down only their own task): a worker that dies without reporting —
-  SIGKILL, OOM — is detected and its task re-dispatched as a
-  :class:`~repro.errors.WorkerCrashedError`; a worker that exceeds
-  ``item_timeout`` seconds of wall clock is killed and its task re-dispatched
-  as a :class:`~repro.errors.JobTimeoutError`;
-* a task that exhausts its retries becomes an
-  :class:`~repro.api.faults.ItemFailure` record; the job *keeps going*.
+* **Plain:** no task starts after the first terminal failure; tasks already
+  running finish.  ``Job.result()`` re-raises that failure's original
+  exception with the worker traceback attached as the ``__cause__`` (a
+  :class:`~repro.errors.JobError` carrying the formatted traceback).
+* **Fault-tolerant:** each task re-runs under its
+  :class:`~repro.api.faults.RetryPolicy` (exponential backoff, deterministic
+  jitter, retryable-error classification); the task's payload is
+  re-dispatched verbatim, so retried items keep their original
+  ``seed + index`` and a faulted run converges to the bit-identical
+  fault-free result.  A task that exhausts its retries leaves its
+  ``ItemFailure`` and the job *keeps going*.
   ``Job.result(on_error="raise")`` (the default) then raises a
   :class:`~repro.errors.JobError` aggregating every record, while
   ``on_error="partial"`` returns the successful rows (failures stay
-  inspectable on ``Job.failures()``);
-* every completed row checkpoints to the optional
-  :class:`~repro.api.journal.JobJournal` the moment it lands, so a later
-  :func:`~repro.api.journal.resume_job` replays nothing already done.
+  inspectable on ``Job.failures()``).  Every completed row checkpoints to the
+  optional :class:`~repro.api.journal.JobJournal` the moment it lands, so a
+  later :func:`~repro.api.journal.resume_job` replays nothing already done.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import pickle
 import threading
 import time
 import traceback
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import (
@@ -78,12 +86,12 @@ DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
 
-#: Poll interval of the fault-tolerant dispatcher (seconds).
+#: Poll interval of the pooled dispatcher (seconds).
 _POLL_SECONDS = 0.05
 
 
 class _RemoteFailure:
-    """A worker exception captured as data so its type survives the pool."""
+    """A worker exception captured as data so its type survives the pipe."""
 
     def __init__(self, error: BaseException):
         self.traceback = "".join(
@@ -95,25 +103,9 @@ class _RemoteFailure:
         except Exception:
             self.error = JobError(f"unpicklable worker error: {error!r}")
 
-    def reraise(self) -> None:
-        raise self.error from JobError(f"worker traceback:\n{self.traceback}")
-
-
-def run_task(task: Tuple[Callable, Any]):
-    """Module-level worker entry point: run one task, capture failures as data.
-
-    Accepts the plain ``(function, payload)`` pair and the extended
-    ``(function, payload, indices, key)`` form interchangeably.
-    """
-    function, payload = task[0], task[1]
-    try:
-        return function(payload)
-    except BaseException as error:  # noqa: BLE001 - repackaged for the parent
-        return _RemoteFailure(error)
-
 
 class _TaskState:
-    """Bookkeeping for one task in the fault-tolerant engine."""
+    """Bookkeeping for one task."""
 
     __slots__ = (
         "function",
@@ -157,8 +149,11 @@ def _normalize_tasks(tasks: Sequence) -> List[_TaskState]:
 
 
 def _child_entry(conn, function, payload) -> None:
-    """Entry point of a dedicated (fault-tolerant) worker process."""
-    outcome = run_task((function, payload))
+    """Entry point of a dedicated worker process: every outcome becomes data."""
+    try:
+        outcome = function(payload)
+    except BaseException as error:  # noqa: BLE001 - repackaged for the parent
+        outcome = _RemoteFailure(error)
     try:
         conn.send(outcome)
     except Exception as error:  # unpicklable rows degrade to a typed failure
@@ -181,110 +176,72 @@ class Job:
         self._lock = threading.Condition()
         self._rows: Dict[int, Any] = {}
         self._status = PENDING
-        self._failure: Optional[_RemoteFailure] = None
         self._failures: List[ItemFailure] = []
-        self._futures: List[Future] = []
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._pending_tasks = 0
+        #: True once the runner has exited: no further rows will arrive.
+        self._settled = False
+        #: Plain run: stop at the first terminal failure and re-raise it.
+        self._fail_fast = False
         self._journal = None
         self._on_error = "raise"
         #: Journal identifier when the submission checkpoints (else ``None``).
         self.job_id: Optional[str] = None
 
     # ------------------------------------------------------------------
-    # Construction paths (used by submit()).
+    # Runners (used by submit()).
     # ------------------------------------------------------------------
-    def _run_inline(self, tasks: Sequence[Tuple[Callable, Any]]) -> "Job":
-        self._status = RUNNING
-        for task in tasks:
-            with self._lock:
-                if self._status == CANCELLED:
-                    return self
-            outcome = run_task(task)
-            self._record(outcome)
-            if self._failure is not None:
-                break
+    def _halted(self) -> bool:
+        """True once no further task may start: cancelled, or a plain run failed."""
         with self._lock:
-            if self._status == RUNNING:
-                self._status = FAILED if self._failure is not None else DONE
+            return self._status == CANCELLED or (self._fail_fast and bool(self._failures))
+
+    def _retry_or_fail(
+        self, state: _TaskState, failure: ItemFailure, retry: Optional[RetryPolicy]
+    ) -> Optional[float]:
+        """Backoff seconds when ``state`` should re-run, else record ``failure``."""
+        if (
+            retry is not None
+            and retry.is_retryable(failure.error)
+            and state.attempts < retry.max_attempts
+        ):
+            return retry.delay(state.attempts, key=state.key)
+        with self._lock:
+            self._failures.append(failure)
             self._lock.notify_all()
-        return self
+        return None
 
-    def _run_pooled(self, tasks: Sequence[Tuple[Callable, Any]], jobs: int) -> "Job":
-        self._status = RUNNING
-        self._executor = ProcessPoolExecutor(max_workers=max(1, min(jobs, len(tasks))))
-        self._pending_tasks = len(tasks)
-        for task in tasks:
-            future = self._executor.submit(run_task, task)
-            self._futures.append(future)
-            future.add_done_callback(self._on_task_done)
-        return self
+    def _run_inline(self, states: List[_TaskState], retry: Optional[RetryPolicy]) -> None:
+        """Run every task in this process, one after another.
 
-    # ------------------------------------------------------------------
-    # Fault-tolerant construction paths.
-    # ------------------------------------------------------------------
-    def _run_inline_resilient(
-        self, states: List[_TaskState], retry: Optional[RetryPolicy]
-    ) -> "Job":
-        """Serial fault-tolerant run: retries and failure records, no pool."""
-        self._status = RUNNING
+        Only ``Exception`` becomes a failure record: ``KeyboardInterrupt``
+        and ``SystemExit`` propagate to the caller and no later task starts.
+        """
         for state in states:
-            with self._lock:
-                if self._status == CANCELLED:
-                    return self
-            while True:
-                outcome = run_task(state.task())
-                state.attempts += 1
-                if not isinstance(outcome, _RemoteFailure):
-                    self._record(outcome)
+            while not self._halted():
+                try:
+                    rows = state.function(state.task()[1])
+                except Exception as error:
+                    state.attempts += 1
+                    failure = ItemFailure(
+                        state.indices, error, state.attempts, traceback.format_exc()
+                    )
+                    delay = self._retry_or_fail(state, failure, retry)
+                    if delay is None:
+                        break
+                    time.sleep(delay)
+                else:
+                    state.attempts += 1
+                    self._record(rows)
                     break
-                error = outcome.error
-                if (
-                    retry is not None
-                    and retry.is_retryable(error)
-                    and state.attempts < retry.max_attempts
-                ):
-                    time.sleep(retry.delay(state.attempts, key=state.key))
-                    with self._lock:
-                        if self._status == CANCELLED:
-                            return self
-                    continue
-                self._add_failure(
-                    ItemFailure(state.indices, error, state.attempts, outcome.traceback)
-                )
-                break
-        with self._lock:
-            if self._status == RUNNING:
-                self._status = FAILED if self._failures else DONE
-            self._lock.notify_all()
-        return self
+        self._settle()
 
-    def _run_pooled_resilient(
-        self,
-        states: List[_TaskState],
-        jobs: int,
-        retry: Optional[RetryPolicy],
-        item_timeout: Optional[float],
-    ) -> "Job":
-        """Fan tasks out over dedicated worker processes (crash containment)."""
-        self._status = RUNNING
-        self._pending_tasks = len(states)
-        thread = threading.Thread(
-            target=self._resilient_loop,
-            args=(states, max(1, jobs), retry, item_timeout),
-            daemon=True,
-            name="repro-job-dispatcher",
-        )
-        thread.start()
-        return self
-
-    def _resilient_loop(
+    def _run_pooled(
         self,
         states: List[_TaskState],
         jobs: int,
         retry: Optional[RetryPolicy],
         item_timeout: Optional[float],
     ) -> None:
+        """Fan tasks out over dedicated worker processes (crash containment)."""
         import multiprocessing
         from multiprocessing.connection import wait as connection_wait
 
@@ -319,26 +276,20 @@ class Job:
             state.process = state.conn = None
 
         def settle_failure(state: _TaskState, error: BaseException, tb: str) -> None:
-            """Retry the task or record its terminal failure."""
-            if (
-                retry is not None
-                and retry.is_retryable(error)
-                and state.attempts < retry.max_attempts
-            ):
-                state.not_before = time.monotonic() + retry.delay(
-                    state.attempts, key=state.key
-                )
+            """Schedule the task's retry or record its terminal failure."""
+            failure = ItemFailure(state.indices, error, state.attempts, tb)
+            delay = self._retry_or_fail(state, failure, retry)
+            if delay is not None:
+                state.not_before = time.monotonic() + delay
                 delayed.append(state)
-                return
-            self._add_failure(ItemFailure(state.indices, error, state.attempts, tb))
-            self._task_finished()
 
         try:
             while True:
                 with self._lock:
-                    cancelled = self._status == CANCELLED
-                if cancelled:
-                    break
+                    if self._status == CANCELLED:
+                        break
+                    if self._fail_fast and self._failures:
+                        pending.clear()  # a plain run failed: start nothing new
                 now = time.monotonic()
                 for state in [s for s in delayed if s.not_before <= now]:
                     delayed.remove(state)
@@ -372,7 +323,6 @@ class Job:
                         settle_failure(state, outcome.error, outcome.traceback)
                     else:
                         self._record(outcome)
-                        self._task_finished()
                 now = time.monotonic()
                 for conn, state in list(running.items()):
                     process = state.process
@@ -406,68 +356,41 @@ class Job:
                             "",
                         )
         finally:
-            # Cancelled (or dispatcher failure): kill whatever still runs and
-            # zero the countdown so wait()ers wake up.
+            # Cancelled (or dispatcher failure): kill whatever still runs
+            # before wait()ers wake up.
             for state in list(running.values()):
                 if state.process is not None:
                     state.process.kill()
                 reap(state)
-            with self._lock:
-                self._pending_tasks = 0
-                if self._status == RUNNING:
-                    self._status = FAILED if self._failures else DONE
-                self._lock.notify_all()
+            self._settle()
 
-    def _task_finished(self) -> None:
+    def _settle(self) -> None:
         with self._lock:
-            self._pending_tasks -= 1
+            if self._status == RUNNING:
+                self._status = FAILED if self._failures else DONE
+            self._settled = True
             self._lock.notify_all()
 
-    def _add_failure(self, failure: ItemFailure) -> None:
+    def _record(self, rows: Sequence[Tuple[int, Any]]) -> None:
         with self._lock:
-            self._failures.append(failure)
+            for index, row in rows:
+                self._rows[index] = row
+                if self._journal is not None:
+                    self._journal.checkpoint_row(index, row)
             self._lock.notify_all()
 
-    # ------------------------------------------------------------------
-    def _record(self, outcome: Any) -> None:
-        with self._lock:
-            if isinstance(outcome, _RemoteFailure):
-                if self._failure is None:
-                    self._failure = outcome
-            else:
-                for index, row in outcome:
-                    self._rows[index] = row
-                    if self._journal is not None:
-                        self._journal.checkpoint_row(index, row)
-            self._lock.notify_all()
-
-    def _on_task_done(self, future: Future) -> None:
-        if not future.cancelled():
-            try:
-                self._record(future.result())
-            except BrokenProcessPool as error:
-                self._record(
-                    _RemoteFailure(
-                        WorkerCrashedError(
-                            "a process-pool worker died abruptly; submit with "
-                            f"retry=RetryPolicy(...) for crash containment ({error!r})"
-                        )
-                    )
-                )
-            except BaseException as error:  # pool infrastructure failure
-                self._record(_RemoteFailure(error))
-        with self._lock:
-            self._pending_tasks -= 1
-            if self._pending_tasks == 0:
-                if self._status == RUNNING:
-                    self._status = FAILED if self._failure is not None else DONE
-                self._shutdown()
-            self._lock.notify_all()
-
-    def _shutdown(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=False)
-            self._executor = None
+    def _raise_failures(self, failures: List[ItemFailure]) -> None:
+        """Raise a plain run's first failure as itself, else the aggregate."""
+        if self._fail_fast:
+            first = failures[0]
+            raise first.error from JobError(f"worker traceback:\n{first.traceback}")
+        summary = "; ".join(f.describe() for f in failures[:5])
+        if len(failures) > 5:
+            summary += f"; ... {len(failures) - 5} more"
+        raise JobError(
+            f"{len(failures)} item(s) failed after retries: {summary}",
+            failures=failures,
+        ) from failures[0].error
 
     # ------------------------------------------------------------------
     # Public lifecycle API.
@@ -482,30 +405,23 @@ class Job:
         return self.status() in (DONE, FAILED, CANCELLED)
 
     def failures(self) -> List[ItemFailure]:
-        """Per-item failure records of a fault-tolerant run (terminal only)."""
+        """Per-item terminal failure records."""
         with self._lock:
             return list(self._failures)
 
     def cancel(self) -> bool:
-        """Cancel every not-yet-started task.
+        """Stop the job: no further task starts and running pooled workers are killed.
 
-        Plain pooled tasks already running finish (their rows remain
-        available via :meth:`partial_results`); fault-tolerant workers are
-        killed.  Idempotent: returns ``True`` only on the call that actually
-        cancelled, ``False`` once the job is already terminal.
+        Rows completed before the cancel remain available via
+        :meth:`partial_results`.  Idempotent: returns ``True`` only on the
+        call that actually cancelled, ``False`` once the job is already
+        terminal.
         """
         with self._lock:
             if self._status in (DONE, FAILED, CANCELLED):
                 return False
             self._status = CANCELLED
-            futures = list(self._futures)
             self._lock.notify_all()
-        # Done callbacks fire for cancelled futures too, so the pending-task
-        # bookkeeping in _on_task_done reaches zero on its own.  The
-        # fault-tolerant dispatcher notices the state change and kills its
-        # worker processes itself.
-        for future in futures:
-            future.cancel()
         return True
 
     def wait(self, timeout: Optional[float] = None) -> bool:
@@ -515,12 +431,7 @@ class Job:
         (TimeoutError-compatible) when ``timeout`` seconds elapse first.
         """
         with self._lock:
-            finished = self._lock.wait_for(
-                lambda: self._status in (DONE, FAILED, CANCELLED)
-                and self._pending_tasks == 0,
-                timeout=timeout,
-            )
-            if not finished:
+            if not self._lock.wait_for(lambda: self._settled, timeout=timeout):
                 raise JobTimeoutError(
                     f"job still {self._status} after {timeout}s "
                     f"({len(self._rows)} item(s) completed)"
@@ -551,8 +462,8 @@ class Job:
             If the job is still running after ``timeout`` seconds
             (``TimeoutError``-compatible).
         Exception
-            A worker failure re-raised with its original type, the remote
-            traceback attached as ``__cause__``.
+            A plain job's failure re-raised with its original type, the
+            worker traceback attached as ``__cause__``.
         """
         if on_error is None:
             on_error = self._on_error
@@ -565,17 +476,8 @@ class Job:
                     f"job cancelled with {len(self._rows)} item(s) completed; "
                     "use partial_results() to retrieve them"
                 )
-            if on_error == "raise":
-                if self._failure is not None:
-                    self._failure.reraise()
-                if self._failures:
-                    summary = "; ".join(f.describe() for f in self._failures[:5])
-                    if len(self._failures) > 5:
-                        summary += f"; ... {len(self._failures) - 5} more"
-                    raise JobError(
-                        f"{len(self._failures)} item(s) failed after retries: {summary}",
-                        failures=self._failures,
-                    ) from self._failures[0].error
+            if on_error == "raise" and self._failures:
+                self._raise_failures(self._failures)
             rows = sorted(self._rows.items())
         return self._assemble(rows) if self._assemble else [row for _, row in rows]
 
@@ -587,15 +489,15 @@ class Job:
     def stream(self, timeout: Optional[float] = None) -> Iterator[Tuple[int, Any]]:
         """Yield ``(item_index, row)`` pairs as they complete, in arrival order.
 
-        Stops once the job reaches a terminal state; a worker failure is
-        re-raised (original type) after every already-completed row has been
-        yielded.
+        Stops once the job reaches a terminal state; failures are raised as
+        :meth:`result` raises them, after every already-completed row has
+        been yielded.
         """
         seen: set = set()
         while True:
             with self._lock:
                 fresh = [(i, row) for i, row in sorted(self._rows.items()) if i not in seen]
-                terminal = self._status in (DONE, FAILED, CANCELLED) and self._pending_tasks == 0
+                terminal = self._settled
                 if not fresh and not terminal:
                     if not self._lock.wait(timeout):
                         raise JobTimeoutError("no job progress before timeout")
@@ -604,16 +506,9 @@ class Job:
                 seen.add(index)
                 yield index, row
             if terminal and not fresh:
-                with self._lock:
-                    failure = self._failure
-                    failures = list(self._failures)
-                if failure is not None:
-                    failure.reraise()
+                failures = self.failures()
                 if failures and self._on_error == "raise":
-                    raise JobError(
-                        f"{len(failures)} item(s) failed after retries",
-                        failures=failures,
-                    ) from failures[0].error
+                    self._raise_failures(failures)
                 return
 
     def __repr__(self) -> str:
@@ -622,15 +517,48 @@ class Job:
             return f"<Job status={self._status} completed={len(self._rows)}{extra}>"
 
 
-def completed(
-    rows: Sequence[Tuple[int, Any]],
-    assemble: Optional[Callable[[List[Tuple[int, Any]]], Any]] = None,
-) -> Job:
-    """A job already in the ``done`` state holding ``rows`` (inline runs)."""
-    job = Job(assemble=assemble)
-    job._rows = dict(rows)
-    job._status = DONE
-    return job
+def check_item_timeout(item_timeout: Optional[float]) -> None:
+    """Reject an ``item_timeout`` that is not ``None`` or a positive, finite number."""
+    if item_timeout is None:
+        return
+    if (
+        not isinstance(item_timeout, numbers.Real)
+        or not math.isfinite(item_timeout)
+        or item_timeout <= 0
+    ):
+        raise InvalidRequestError(
+            "item_timeout must be None or a positive, finite number of seconds, "
+            f"got {item_timeout!r}"
+        )
+
+
+def runs_inline(jobs: int, block: bool, item_timeout: Optional[float]) -> bool:
+    """True when :func:`submit` runs the tasks in this process.
+
+    Item timeouts need a killable worker, so they always take the pool.
+    """
+    return jobs <= 1 and block and item_timeout is None
+
+
+def fault_tolerant(
+    retry: Optional[RetryPolicy],
+    item_timeout: Optional[float],
+    journal,
+    on_error: str,
+    prefailures: Optional[Sequence[ItemFailure]] = None,
+) -> bool:
+    """True when a submission retries, times out, checkpoints or keeps partials.
+
+    Such a run keeps going past terminal failures and reports them together
+    (see the module docstring); every other run is plain.
+    """
+    return bool(
+        retry is not None
+        or item_timeout is not None
+        or journal is not None
+        or on_error == "partial"
+        or prefailures
+    )
 
 
 def submit(
@@ -652,52 +580,45 @@ def submit(
     indices the task covers (for failure records) and ``key`` is a stable
     identity used for deterministic backoff jitter.
 
-    ``jobs <= 1`` with ``block=True`` executes inline in this process (no
-    pool, no pickling of results).  Everything else fans out over a process
-    pool of ``max(1, jobs)`` workers; with ``block=True`` the call waits for
-    completion before returning, with ``block=False`` it returns
-    immediately and the job completes in the background.
+    ``jobs <= 1`` with ``block=True`` and no ``item_timeout`` runs inline in
+    this process (no pickling of payloads or results).  Everything else fans
+    out over up to ``max(1, jobs)`` dedicated worker processes; with
+    ``block=True`` the call waits for completion before returning, with
+    ``block=False`` it returns immediately and the job completes in the
+    background.
 
-    Fault tolerance (see the module docstring) engages when any of
-    ``retry`` / ``item_timeout`` / ``journal`` / ``on_error="partial"`` is
-    given.  ``item_timeout`` needs process isolation to kill a stuck worker,
-    so it forces the pooled engine even for ``jobs=1``.  ``preloaded_rows``
+    ``retry`` / ``item_timeout`` / ``journal`` / ``on_error="partial"`` make
+    the run fault-tolerant (see the module docstring).  ``preloaded_rows``
     (e.g. journal checkpoints from a previous life of the job) and
     ``prefailures`` (pre-dispatch rejections) seed the job before any task
     runs.
     """
     if on_error not in ("raise", "partial"):
         raise InvalidRequestError(f"on_error must be 'raise' or 'partial', got {on_error!r}")
+    check_item_timeout(item_timeout)
     job = Job(assemble=assemble)
     job._journal = journal
     job._on_error = on_error
+    job._fail_fast = not fault_tolerant(retry, item_timeout, journal, on_error, prefailures)
     if journal is not None:
         job.job_id = journal.job_id
     if preloaded_rows:
         job._rows.update(dict(preloaded_rows))
     if prefailures:
         job._failures.extend(prefailures)
-    fault_tolerant = (
-        retry is not None
-        or item_timeout is not None
-        or journal is not None
-        or on_error == "partial"
-        or prefailures
-    )
-    if not tasks:
-        job._status = FAILED if job._failures else DONE
-        return job
-    if not fault_tolerant:
-        if jobs <= 1 and block:
-            return job._run_inline(list(tasks))
-        job._run_pooled(list(tasks), jobs=max(1, jobs))
-        if block:
-            job.wait()
-        return job
+    job._status = RUNNING
     states = _normalize_tasks(tasks)
-    if jobs <= 1 and block and item_timeout is None:
-        return job._run_inline_resilient(states, retry)
-    job._run_pooled_resilient(states, jobs=max(1, jobs), retry=retry, item_timeout=item_timeout)
-    if block:
-        job.wait()
+    if not states:
+        job._settle()
+    elif runs_inline(jobs, block, item_timeout):
+        job._run_inline(states, retry)
+    elif block:
+        job._run_pooled(states, max(1, jobs), retry, item_timeout)
+    else:
+        threading.Thread(
+            target=job._run_pooled,
+            args=(states, max(1, jobs), retry, item_timeout),
+            daemon=True,
+            name="repro-job-dispatcher",
+        ).start()
     return job

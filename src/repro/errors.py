@@ -30,9 +30,10 @@ can catch the precise class:
     and its worker was killed.  Inherits :class:`TimeoutError`, so code
     catching the builtin keeps working.
 ``WorkerCrashedError``
-    A pool worker died without reporting a result (SIGKILL, OOM kill,
-    ``BrokenProcessPool``).  Retryable by default: the scheduler resurrects
-    the worker and re-dispatches only the in-flight items.
+    A worker process died without reporting a result (SIGKILL, OOM kill).
+    Retryable by default: the scheduler resurrects the worker and
+    re-dispatches only the in-flight items; the other workers' rows still
+    land.
 ``TransientError``
     A failure the caller declares to be transient (flaky I/O, injected
     chaos).  The default :class:`~repro.api.faults.RetryPolicy` retries it.

@@ -6,11 +6,15 @@ The satellite contract of the Device/Job redesign:
   rows reachable, and makes ``result()`` raise ``JobCancelledError``;
 * a worker exception crosses the process boundary with its **original**
   type (the remote traceback attached as ``__cause__``);
+* a plain run starts no task after its first failure, a crashed pooled
+  worker fails only its own task, and Ctrl-C stops an inline run;
 * serial (``jobs=1``), pooled (``jobs>1``) and async (``block=False``)
   runs of the same seeded batch are bit-identical (``seed + index``
   fan-out is independent of scheduling).
 """
 
+import os
+import signal
 import time
 
 import numpy as np
@@ -26,10 +30,12 @@ from repro import (
     Rx,
     TransientError,
     UnsupportedCircuitError,
+    WorkerCrashedError,
     depolarize,
     device,
 )
 from repro.api import scheduler
+from repro.api.faults import NO_RETRY
 from repro.errors import BackendCapabilityError
 
 
@@ -44,6 +50,31 @@ def _slow_task(payload):
 
 def _failing_task(payload):
     raise UnsupportedCircuitError(f"boom on {payload['index']}")
+
+
+def _killed_task(payload):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _interrupting_task(payload):
+    payload["log"].append(payload["index"])
+    if payload.get("interrupt"):
+        raise KeyboardInterrupt
+    return [(payload["index"], payload["index"])]
+
+
+class _InterruptingObjective:
+    """Expectation objective that raises KeyboardInterrupt on call ``at``."""
+
+    def __init__(self, at):
+        self.at = at
+        self.calls = 0
+
+    def __call__(self, probabilities):
+        self.calls += 1
+        if self.calls == self.at:
+            raise KeyboardInterrupt
+        return float(probabilities[0])
 
 
 class TestSchedulerLifecycle:
@@ -88,9 +119,45 @@ class TestSchedulerLifecycle:
             assert "worker traceback" in str(error.__cause__)
 
     def test_inline_failure_reraises_original_type(self):
-        job = scheduler.submit([(_failing_task, {"index": 0})])
-        with pytest.raises(UnsupportedCircuitError):
+        # A plain run starts no task after the first failure.
+        tasks = [
+            (_echo_task, {"index": 0, "value": 0}),
+            (_failing_task, {"index": 1}),
+            (_echo_task, {"index": 2, "value": 2}),
+        ]
+        job = scheduler.submit(tasks)
+        with pytest.raises(UnsupportedCircuitError) as excinfo:
             job.result()
+        assert "worker traceback" in str(excinfo.value.__cause__)
+        assert job.partial_results() == {0: 0}
+
+    def test_crashed_worker_takes_down_only_its_own_task(self):
+        tasks = [
+            (_killed_task, {"index": 0}),
+            (_slow_task, {"index": 1, "value": "healthy", "sleep": 0.3}),
+        ]
+        job = scheduler.submit(tasks, jobs=2)
+        assert job.partial_results() == {1: "healthy"}
+        with pytest.raises(WorkerCrashedError):
+            job.result(timeout=60)
+
+    def test_keyboard_interrupt_stops_inline_run(self):
+        for retry in (None, NO_RETRY):
+            log = []
+            tasks = [
+                (_interrupting_task, {"index": i, "log": log, "interrupt": i == 1})
+                for i in range(4)
+            ]
+            with pytest.raises(KeyboardInterrupt):
+                scheduler.submit(tasks, retry=retry)
+            assert log == [0, 1]
+        bell = Circuit([H(LineQubit(0)), CNOT(LineQubit(0), LineQubit(1))])
+        objective = _InterruptingObjective(at=2)
+        with pytest.raises(KeyboardInterrupt):
+            device("state_vector", seed=0).run(
+                [bell] * 4, observables=["expectation"], objective=objective, jobs=1
+            )
+        assert objective.calls == 2
 
     def test_stream_yields_rows_in_arrival_order(self):
         tasks = [(_echo_task, {"index": i, "value": -i}) for i in range(5)]
@@ -127,12 +194,13 @@ class TestDeviceJobLifecycle:
 
     def test_worker_exception_keeps_original_type_through_device(self, mixed_batch):
         noisy = mixed_batch[1]
-        job = device("kc", seed=0).run(
-            [noisy, noisy], repetitions=10, sampling="exact", jobs=2, block=False
-        )
-        with pytest.raises(BackendCapabilityError, match="exact sampling"):
-            job.result(timeout=120)
-        assert job.status() == scheduler.FAILED
+        for kwargs in (dict(jobs=2, block=False), dict(jobs=1)):
+            job = device("kc", seed=0).run(
+                [noisy, noisy], repetitions=10, sampling="exact", **kwargs
+            )
+            with pytest.raises(BackendCapabilityError, match="exact sampling"):
+                job.result(timeout=120)
+            assert job.status() == scheduler.FAILED
 
     def test_device_job_cancellation(self, mixed_batch):
         # Enough repetitions that the single worker cannot drain the queue

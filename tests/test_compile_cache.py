@@ -11,6 +11,7 @@ from repro.circuits.gates import CNOT, H, Rx, Ry, Rz, X, ZZ
 from repro.circuits.noise import depolarize, phase_damp
 from repro.circuits.topology import canonicalize_circuit, circuit_topology_key
 from repro.experiments import runner
+from repro.knowledge import cache as compile_cache
 from repro.knowledge.cache import CompiledCircuitCache
 from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
 from repro.simulator.sweep import ParameterSweep, resolver_grid, resolver_zip
@@ -400,6 +401,22 @@ class TestRunnerDeterminism:
         second = runner.run_specs(specs, jobs=2, cache_dir=str(tmp_path / "b"))
         serial = runner.run_specs(specs, jobs=1)
         assert _strip_timings(first) == _strip_timings(second) == _strip_timings(serial)
+
+    def test_serial_retry_run_keeps_the_process_cache(self, monkeypatch):
+        # Only a pooled run needs a temporary shared cache; an inline run
+        # without cache_dir must not repoint this process at it.
+        cache_before = compile_cache.default_cache()
+        env_before = os.environ.get(compile_cache.CACHE_DIR_ENV)
+        # Registered so that a regression cannot leak into later tests.
+        monkeypatch.setattr(compile_cache, "_default_cache", cache_before)
+        if env_before is None:
+            monkeypatch.delenv(compile_cache.CACHE_DIR_ENV, raising=False)
+        else:
+            monkeypatch.setenv(compile_cache.CACHE_DIR_ENV, env_before)
+        specs = runner.build_specs(quick=True, only=["bell_example"])
+        runner.run_specs(specs, jobs=1, retries=1)
+        assert os.environ.get(compile_cache.CACHE_DIR_ENV) == env_before
+        assert compile_cache.default_cache().directory == cache_before.directory
 
     def test_build_specs_filters_and_rejects_typos(self):
         names = [spec.name for spec in runner.build_specs(quick=True)]

@@ -36,6 +36,7 @@ from repro.api import scheduler
 from repro.api.faults import DEFAULT_RETRYABLE, NO_RETRY, ItemFailure
 from repro.errors import (
     BackendCapabilityError,
+    InvalidRequestError,
     JobTimeoutError,
     UnsupportedCircuitError,
     WorkerCrashedError,
@@ -263,6 +264,12 @@ class TestDeviceFaultInjection:
     def test_bad_item_timeout_rejected(self):
         with pytest.raises(ValueError):
             device("auto").run([_ghz()], repetitions=4, item_timeout="forever")
+        tasks = [(_flaky_task, {"index": 0, "value": 0}, (0,), "item-0")]
+        for value in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidRequestError):
+                device("auto").run([_ghz()], repetitions=4, item_timeout=value)
+            with pytest.raises(InvalidRequestError):
+                scheduler.submit(tasks, item_timeout=value)
 
     def test_auto_item_timeout_resolves_from_capabilities(self):
         job = device("auto", seed=5).run(
