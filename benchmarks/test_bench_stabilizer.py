@@ -1,13 +1,14 @@
 """Stabilizer backend at scale: 50+ qubit Clifford circuits in milliseconds.
 
 The acceptance bar for the sixth backend: a >= 50-qubit, depth >= 100
-Clifford circuit sampled in under one second wall-clock — a regime where
-every existing backend is infeasible (a single dense state vector at 56
-qubits would need ``2^56 * 16`` bytes ≈ 1.15 exabytes; the density matrix
-squares that; the knowledge compile of an entangling 56-qubit random
-circuit blows up in structure long before memory).  The tableau pays
-``O(n^2)`` bits of state and ``O(n)`` work per gate, so the whole run is
-milliseconds.
+Clifford circuit sampled in under one second wall-clock (measured and
+gated by the ``stabilizer`` section of ``benchmarks/bench_all.py``) — a
+regime where every existing backend is infeasible (a single dense state
+vector at 56 qubits would need ``2^56 * 16`` bytes ≈ 1.15 exabytes; the
+density matrix squares that; the knowledge compile of an entangling
+56-qubit random circuit blows up in structure long before memory).  The
+tableau pays ``O(n^2)`` bits of state and ``O(n)`` work per gate, so the
+whole run is milliseconds.
 
 A second benchmark measures hybrid-dispatch overhead: the classification
 pass must be a negligible fraction of a dense sampling run.
@@ -35,21 +36,6 @@ def wide_clifford_instance():
 
 
 class TestFiftyQubitBudget:
-    def test_sampling_under_one_second(self, wide_clifford_instance):
-        """>= 50 qubits, depth >= 100, 1000 samples, < 1 s wall-clock."""
-        circuit = wide_clifford_instance.circuit
-        assert circuit.num_qubits >= 50
-        assert circuit.depth >= 100
-        simulator = StabilizerSimulator(seed=7)
-        start = time.perf_counter()
-        samples = simulator.sample(circuit, NUM_SAMPLES, seed=7)
-        elapsed = time.perf_counter() - start
-        assert len(samples) == NUM_SAMPLES
-        assert len(samples.qubits) == NUM_QUBITS
-        assert elapsed < WALL_CLOCK_BUDGET_SECONDS, (
-            f"sampling took {elapsed:.3f}s (budget {WALL_CLOCK_BUDGET_SECONDS}s)"
-        )
-
     def test_hybrid_dispatch_reaches_the_same_scale(self, wide_clifford_instance):
         """The dispatcher, not just the raw backend, must survive 56 qubits."""
         simulator = HybridSimulator(seed=7)

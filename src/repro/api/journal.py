@@ -17,7 +17,7 @@ why they share one log file instead of a file per item: appending a record
 is a single ``write`` on a descriptor opened once per journal, roughly an
 order of magnitude cheaper than a create + rename pair per item, and it is
 what keeps the fault-free overhead of checkpointing within the benchmark
-budget (see ``benchmarks/test_bench_robustness.py``).
+budget (the ``robustness`` section of ``benchmarks/bench_all.py``).
 
 Because every observable is deterministic given the item's parameter binding
 and its ``seed + index`` (samples are seeded draws, probabilities and state

@@ -1,14 +1,10 @@
-"""Shared emitter for benchmark artifacts (``BENCH_*.json``).
+"""Atomic emitter for the benchmark artifact ``BENCH_all.json``.
 
-Every benchmark in ``benchmarks/`` that persists machine-readable results
-— the per-suite ``BENCH_api.json`` / ``BENCH_optimizer.json`` /
-``BENCH_robustness.json`` emitters and the unified ``bench_all.py``
-harness behind ``BENCH_all.json`` — funnels its write through
-:func:`emit_bench`, so artifact I/O inherits the project's atomic-write
-discipline (see :mod:`repro.atomicio`): a crash mid-emit leaves the old
-artifact intact, never a torn file, and the reprolint ``atomic-write``
-audit covers the single shared site instead of one raw ``write_text``
-per benchmark.
+``benchmarks/bench_all.py`` writes its artifact through :func:`emit_bench`,
+so artifact I/O inherits the project's atomic-write discipline (see
+:mod:`repro.atomicio`): a crash mid-emit leaves the old artifact intact,
+never a torn file, and the reprolint ``atomic-write`` audit covers this one
+site instead of a raw ``write_text`` in the harness.
 
 Payloads are plain JSON trees of numbers/strings the caller has already
 rounded; ``emit_bench`` rejects NaN/Infinity so a failed measurement can
@@ -23,11 +19,11 @@ from typing import Any, Dict, Union
 
 from .atomicio import atomic_write_text
 
-__all__ = ["emit_bench", "load_bench"]
+__all__ = ["emit_bench"]
 
 
 def emit_bench(path: Union[str, "os.PathLike[str]"], payload: Dict[str, Any]) -> None:
-    """Atomically write one ``BENCH_*.json`` artifact.
+    """Atomically write one benchmark artifact.
 
     The serialized form is stable (two-space indent, trailing newline,
     insertion-ordered keys) so committed artifacts diff cleanly across
@@ -35,12 +31,3 @@ def emit_bench(path: Union[str, "os.PathLike[str]"], payload: Dict[str, Any]) ->
     """
     text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     atomic_write_text(path, text)
-
-
-def load_bench(path: Union[str, "os.PathLike[str]"]) -> Dict[str, Any]:
-    """Load a ``BENCH_*.json`` artifact emitted by :func:`emit_bench`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        loaded = json.load(handle)
-    if not isinstance(loaded, dict):
-        raise ValueError(f"{os.fspath(path)!r} is not a benchmark artifact object")
-    return loaded

@@ -554,3 +554,63 @@ class TestFrameworkSurface:
         reference = plain.run(points).rows
         for row, ref in zip(rows, reference):
             np.testing.assert_allclose(row["probabilities"], ref["probabilities"], atol=1e-10)
+
+
+class TestOptimizerWorkloads:
+    """The ``bench_all`` optimizer workloads, structurally: the rewrites fire
+    and shrink the compile, and fusion leaves every sweep point's
+    distribution unchanged."""
+
+    @staticmethod
+    def _ansatz():
+        from repro.variational import QAOACircuit, random_regular_maxcut
+
+        return QAOACircuit(random_regular_maxcut(8, seed=5), iterations=1)
+
+    def test_light_cone_shrinks_single_edge_observable(self):
+        from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
+
+        ansatz = self._ansatz()
+        resolved = ansatz.circuit.resolve_parameters(ansatz.resolver([0.6, 0.4]))
+        edge = ansatz.problem.edges[0]
+        circuit = Circuit(resolved.all_operations())
+        circuit.append(measure(ansatz.qubits[edge[0]], ansatz.qubits[edge[1]], key="edge"))
+        simulator = KnowledgeCompilationSimulator(cache=None)
+
+        baseline = simulator.compile_circuit(circuit).compilation_metrics()
+        pruned = simulator.compile_circuit(circuit, optimize="auto").compilation_metrics()
+
+        stats = simulator.last_optimization
+        assert stats is not None and stats.changed
+        for metric in ("gates", "ac_nodes", "cnf_clauses"):
+            assert pruned[metric] < baseline[metric], metric
+
+    def test_fusion_merges_half_angle_split_ansatz(self):
+        from repro.circuits.gates import _RotationGate
+        from repro.simulator.kc_simulator import KnowledgeCompilationSimulator
+        from repro.simulator.sweep import ParameterSweep
+
+        ansatz = self._ansatz()
+        split = Circuit()
+        for operation in ansatz.circuit.all_operations():
+            gate = operation.gate
+            if isinstance(gate, _RotationGate):
+                half = type(gate)(0.5 * gate.angle)
+                split.append([half(*operation.qubits), half(*operation.qubits)])
+            else:
+                split.append(operation)
+        grid = np.random.default_rng(7).uniform(0.1, 1.3, size=(40, ansatz.num_parameters))
+        points = [ansatz.resolver(list(row)) for row in grid]
+
+        plain = ParameterSweep(split, KnowledgeCompilationSimulator(cache=None))
+        fused = ParameterSweep(split, KnowledgeCompilationSimulator(cache=None), optimize="auto")
+
+        assert fused.last_optimization is not None and fused.last_optimization.removed > 0
+        plain_metrics = plain.compiled.compilation_metrics()
+        fused_metrics = fused.compiled.compilation_metrics()
+        assert fused_metrics["gates"] < plain_metrics["gates"]
+        assert fused_metrics["ac_nodes"] < plain_metrics["ac_nodes"]
+        for plain_row, fused_row in zip(plain.run(points).rows, fused.run(points).rows):
+            np.testing.assert_allclose(
+                fused_row["probabilities"], plain_row["probabilities"], atol=1e-10
+            )

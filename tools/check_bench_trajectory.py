@@ -1,27 +1,32 @@
 #!/usr/bin/env python3
 """Benchmark trajectory gate: BENCH_all.json must stay above real floors.
 
-Validates the committed ``BENCH_all.json`` (schema + absolute floors), and
-— when CI hands it a freshly regenerated artifact — gates the fresh run
-against the same floors and prints the committed-vs-fresh drift per
-headline metric.  Absolute floors rather than committed-vs-fresh ratios:
-shared runners are 2-5x slower and noisier than the machines that commit
-artifacts, so a ratio gate would either flap or need so much headroom it
-gates nothing.
+``benchmarks/bench_all.py`` is the only harness that measures the headline
+workloads, and this script is the only place they are gated.  It validates
+the committed ``BENCH_all.json`` (schema + absolute floors) and, when
+handed a freshly regenerated artifact, gates the fresh run against the
+same floors and prints the committed-vs-fresh drift per headline metric.
+Absolute floors rather than committed-vs-fresh ratios: shared runners are
+2-5x slower and noisier than the machines that commit artifacts, so a
+ratio gate would either flap or need so much headroom it gates nothing.
 
-Every floor is real (non-zero) and env-overridable for *slower* runners,
-never disableable to 0.  Local measurements vs floors:
+The defaults are the local bounds.  CI relaxes two of them through the
+environment, for slower runners; a bound of 0 or below is rejected as a
+disabled gate.
 
-===========================  ============  =======================
-metric                        local         floor (CI headroom)
-===========================  ============  =======================
-api_speedup                   ~68x          >= 3.0   (~20x slack)
-sweep_speedup                 ~25x          >= 3.0   (~8x slack)
-stabilizer_seconds            ~0.65s        <= 2.0   (~3x slack)
-optimizer_speedup             ~3.6x         >= 1.25  (~3x slack)
-robustness_overhead           ~0.07         <= 0.60  (~9x slack)
-cost_routing_accuracy         1.00          >= 0.80  (10 misses/50)
-===========================  ============  =======================
+=====================  ======================  ========  ===============
+metric                 statistic               default   CI (env)
+=====================  ======================  ========  ===============
+api_speedup            one run                 >= 3.0    --
+sweep_speedup          one run                 >= 5.0    >= 3.0
+stabilizer_seconds     one run                 <= 1.0    --
+optimizer_speedup      one run                 >= 1.25   --
+robustness_overhead    best of 7 interleaved   <= 0.10   <= 0.60
+cost_routing_accuracy  50-case holdout         >= 0.80   --
+=====================  ======================  ========  ===============
+
+``GATES`` names the environment variable that overrides each bound; CI
+sets ``BENCH_SWEEP_MIN_SPEEDUP=3.0`` and ``BENCH_ROBUSTNESS_MAX_OVERHEAD=0.60``.
 
 Usage::
 
@@ -44,10 +49,10 @@ SECTIONS = ("api", "sweep", "stabilizer", "optimizer", "robustness", "cost_routi
 # metric -> (env override, default bound, "min" floor or "max" ceiling)
 GATES = {
     "api_speedup": ("BENCH_API_MIN_SPEEDUP", 3.0, "min"),
-    "sweep_speedup": ("BENCH_SWEEP_MIN_SPEEDUP", 3.0, "min"),
-    "stabilizer_seconds": ("BENCH_STABILIZER_MAX_SECONDS", 2.0, "max"),
+    "sweep_speedup": ("BENCH_SWEEP_MIN_SPEEDUP", 5.0, "min"),
+    "stabilizer_seconds": ("BENCH_STABILIZER_MAX_SECONDS", 1.0, "max"),
     "optimizer_speedup": ("BENCH_OPTIMIZER_MIN_SPEEDUP", 1.25, "min"),
-    "robustness_overhead": ("BENCH_ROBUSTNESS_MAX_OVERHEAD", 0.60, "max"),
+    "robustness_overhead": ("BENCH_ROBUSTNESS_MAX_OVERHEAD", 0.10, "max"),
     "cost_routing_accuracy": ("BENCH_COST_ROUTING_MIN_ACCURACY", 0.80, "min"),
 }
 
@@ -85,7 +90,7 @@ def check_artifact(label: str, path: Path, artifact: dict) -> list:
     return errors
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--committed",
@@ -99,7 +104,7 @@ def main() -> int:
         default=None,
         help="a freshly regenerated artifact to gate and diff against committed",
     )
-    options = parser.parse_args()
+    options = parser.parse_args(argv)
 
     committed = load_artifact(options.committed)
     errors = check_artifact("committed", options.committed, committed)
